@@ -2,10 +2,11 @@
 //!
 //! A [`DharmaClient`] is bound to one overlay node (its *home node*) and
 //! drives the simulated network synchronously: each overlay lookup is
-//! issued, the simulation is run until the operation completes, and the
-//! client accounts one lookup on its [`OpCost`] receipt. This mirrors the
-//! deployment model of the paper, where the tagging application sits on a
-//! Likir node and performs blocking PUT/GET primitives.
+//! issued, the simulation is stepped one event at a time up to the event
+//! that completes the operation, and the client accounts one lookup on its
+//! [`OpCost`] receipt. This mirrors the deployment model of the paper,
+//! where the tagging application sits on a Likir node and performs
+//! blocking PUT/GET primitives.
 //!
 //! The **naive vs approximated** tagging split of §IV-B is a client-side
 //! policy ([`ApproxPolicy`]): the DHT neither knows nor cares — which is the
@@ -41,7 +42,12 @@ pub struct DharmaConfig {
     pub namespace: String,
     /// Client-side RNG seed (Approximation A subset selection).
     pub seed: u64,
-    /// Safety cap on simulator events per blocking operation.
+    /// Safety cap on simulator events per overlay operation attempt,
+    /// charged one event at a time from the attempt's issue (the sharded
+    /// engine steps a whole window at once, so it may overshoot by the
+    /// rest of that window). Every event counts, background ones
+    /// included. An attempt that reaches the cap returns
+    /// [`DharmaError::Timeout`], as does one whose event queue empties.
     pub max_events_per_op: u64,
     /// How many times a timed-out **idempotent** operation (GET, blob
     /// PUT) is reissued before the error surfaces. An overlay op can die
@@ -222,13 +228,19 @@ pub struct BlockView {
 }
 
 /// The DHARMA tagging client.
+///
+/// Every primitive runs its overlay operations one after another, and
+/// each returns at the event that completes it: the virtual clock a
+/// caller sees afterwards is the completion time, not the time the
+/// network went quiet. Whatever else is queued (trailing RPC timers,
+/// maintenance, gossip, pushes) stays queued. Background timers therefore
+/// advance only while some operation is being driven, by this client or
+/// by whoever else steps the [`SimNet`].
 pub struct DharmaClient {
     home: dharma_net::NodeAddr,
     identity: Identity,
     cfg: DharmaConfig,
     rng: StdRng,
-    /// Completions that arrived while waiting for other ops.
-    stash: FxHashMap<u64, KadOutput>,
     /// Session-consistency floor: highest stamp observed per key, fed by
     /// every write receipt and every served read of this client.
     session: SessionToken,
@@ -243,7 +255,6 @@ impl DharmaClient {
             identity,
             cfg,
             rng: StdRng::seed_from_u64(seed),
-            stash: FxHashMap::default(),
             session: SessionToken::default(),
         }
     }
@@ -374,7 +385,10 @@ impl DharmaClient {
             AuthenticatedRecord::sign(&self.identity, &self.cfg.namespace, uri.as_bytes().to_vec());
         let blob = dharma_types::WireEncode::encode_to_bytes(&record).to_vec();
         let key = block_key(resource, BlockType::ResourceUri);
-        cost.absorb(self.run_write(net, key, true, |n, ctx| n.put_blob(ctx, key, blob.clone()))?);
+        let (stamp, put_cost) =
+            self.run_write(net, true, |n, ctx| n.put_blob(ctx, key, blob.clone()))?;
+        self.session.observe(key, stamp);
+        cost.absorb(put_cost);
 
         // 2. r̄ — all tags of the new resource in one block update.
         let key = block_key(resource, BlockType::ResourceTags);
@@ -385,9 +399,7 @@ impl DharmaClient {
                 weight: 1,
             })
             .collect();
-        cost.absorb(self.run_write(net, key, false, |n, ctx| {
-            n.append_many(ctx, key, entries.clone())
-        })?);
+        cost.absorb(self.run_append(net, key, entries)?);
 
         // 3. per tag: t̄ᵢ reverse edge + t̂ᵢ pairwise FG arcs.
         for &t in &unique {
@@ -396,9 +408,7 @@ impl DharmaClient {
                 name: resource.to_owned(),
                 weight: 1,
             }];
-            cost.absorb(self.run_write(net, key, false, |n, ctx| {
-                n.append_many(ctx, key, entry.clone())
-            })?);
+            cost.absorb(self.run_append(net, key, entry)?);
 
             let key = block_key(t, BlockType::TagNeighbors);
             let arcs: Vec<StoredEntry> = unique
@@ -409,18 +419,9 @@ impl DharmaClient {
                     weight: 1,
                 })
                 .collect();
-            if arcs.is_empty() {
-                // Single-tag resource: the t̂ update would be empty; the
-                // paper still counts the lookup (the block is touched to
-                // ensure existence). We append a zero-entry update.
-                cost.absorb(
-                    self.run_write(net, key, false, |n, ctx| n.append_many(ctx, key, vec![]))?,
-                );
-            } else {
-                cost.absorb(self.run_write(net, key, false, |n, ctx| {
-                    n.append_many(ctx, key, arcs.clone())
-                })?);
-            }
+            // A single-tag resource has no arcs: the paper still counts
+            // the lookup, so the update goes out empty.
+            cost.absorb(self.run_append(net, key, arcs)?);
         }
         Ok(cost)
     }
@@ -455,9 +456,7 @@ impl DharmaClient {
             name: tag.to_owned(),
             weight: 1,
         }];
-        cost.absorb(self.run_write(net, r_bar, false, |n, ctx| {
-            n.append_many(ctx, r_bar, e.clone())
-        })?);
+        cost.absorb(self.run_append(net, r_bar, e)?);
 
         // 2. u(t, r) += 1 on t̄.
         let t_bar = block_key(tag, BlockType::TagResources);
@@ -465,9 +464,7 @@ impl DharmaClient {
             name: resource.to_owned(),
             weight: 1,
         }];
-        cost.absorb(self.run_write(net, t_bar, false, |n, ctx| {
-            n.append_many(ctx, t_bar, e.clone())
-        })?);
+        cost.absorb(self.run_append(net, t_bar, e)?);
 
         // 3. Fetch Tags(r) from r̄ (unfiltered: tagging needs the full set;
         //    resources carry few tags compared to popular tags' blocks).
@@ -514,9 +511,7 @@ impl DharmaClient {
         } else {
             Vec::new()
         };
-        cost.absorb(self.run_write(net, t_hat, false, |n, ctx| {
-            n.append_many(ctx, t_hat, forward.clone())
-        })?);
+        cost.absorb(self.run_append(net, t_hat, forward)?);
 
         // Approximation A: the per-neighbor τ̂ updates below are each a full
         // overlay lookup, so they are capped at k random neighbors.
@@ -535,9 +530,7 @@ impl DharmaClient {
                 name: tag.to_owned(),
                 weight: 1,
             }];
-            cost.absorb(self.run_write(net, tau_hat, false, |n, ctx| {
-                n.append_many(ctx, tau_hat, e.clone())
-            })?);
+            cost.absorb(self.run_append(net, tau_hat, e)?);
             updated += 1;
         }
 
@@ -662,28 +655,45 @@ impl DharmaClient {
         }
     }
 
-    /// Issues a write op for `key` on the home node and runs the net to
-    /// completion. The write's origin stamp (minted by the coordinator)
-    /// raises this session's floor for the key — the read-your-writes
-    /// obligation. `retryable` must only be true for idempotent writes
-    /// (blob PUTs, replication pushes) — see [`DharmaClient::run_op`].
+    /// Issues a write op on the home node and runs the net to completion,
+    /// returning the origin stamp the coordinator minted for it. A stored
+    /// write's stamp must raise this session's floor for its key — the
+    /// read-your-writes obligation; the callers do that. `retryable` must
+    /// only be true for idempotent writes (blob PUTs) — see
+    /// [`DharmaClient::run_op`].
     fn run_write(
         &mut self,
         net: &mut SimNet<KademliaNode>,
-        key: Id160,
         retryable: bool,
         issue: impl FnMut(&mut KademliaNode, &mut dharma_net::Ctx<KadOutput>) -> u64,
-    ) -> Result<OpCost> {
+    ) -> Result<(VersionStamp, OpCost)> {
         let (out, cost) = self.run_op(net, retryable, false, issue)?;
         match out {
-            KadOutput::Written { stamp, .. } => {
-                self.session.observe(key, stamp);
-                Ok(cost)
-            }
+            KadOutput::Written { stamp, .. } => Ok((stamp, cost)),
             other => Err(DharmaError::Protocol(format!(
                 "expected write completion, got {other:?}"
             ))),
         }
+    }
+
+    /// One block update: `APPEND entries` at `key`, never retried. Its
+    /// stamp raises the session floor unless `entries` is empty: an empty
+    /// append still costs its lookup (Table I counts it), but no holder
+    /// stores anything for it, so no holder's version ever reaches the
+    /// stamp minted for it and a session read would wait on it forever.
+    fn run_append(
+        &mut self,
+        net: &mut SimNet<KademliaNode>,
+        key: Id160,
+        entries: Vec<StoredEntry>,
+    ) -> Result<OpCost> {
+        let (stamp, cost) = self.run_write(net, false, |n, ctx| {
+            n.append_many(ctx, key, entries.clone())
+        })?;
+        if !entries.is_empty() {
+            self.session.observe(key, stamp);
+        }
+        Ok(cost)
     }
 
     /// Issues a filtered GET (idempotent, hence always retryable) and runs
@@ -740,33 +750,30 @@ impl DharmaClient {
         }
     }
 
-    /// Runs the simulation until operation `op` completes.
-    fn wait_for(&mut self, net: &mut SimNet<KademliaNode>, op: u64) -> Result<KadOutput> {
-        if let Some(out) = self.stash.remove(&op) {
-            return Ok(out);
-        }
-        let mut budget = self.cfg.max_events_per_op;
+    /// Steps the simulation one event at a time and returns at the event
+    /// that completes operation `op` on the home node. Op ids are only
+    /// unique per node, so the match is on `(home, op)`. The client has one
+    /// op in flight, so every other completion drained here (another
+    /// node's, or a timed-out earlier attempt's) is never its own and is
+    /// dropped.
+    fn wait_for(&self, net: &mut SimNet<KademliaNode>, op: u64) -> Result<KadOutput> {
+        let start = net.events_processed();
         loop {
-            for (id, out) in net.take_completions() {
-                self.stash.insert(id, out);
-            }
-            if let Some(out) = self.stash.remove(&op) {
+            let done = net
+                .take_completions_from()
+                .into_iter()
+                .find(|&(addr, id, _)| addr == self.home && id == op);
+            if let Some((_, _, out)) = done {
                 return Ok(out);
             }
-            let stepped = net.run_until_idle(1024);
-            if stepped == 0 {
-                // Queue drained without completing: one more completion scan.
-                for (id, out) in net.take_completions() {
-                    self.stash.insert(id, out);
-                }
-                return self.stash.remove(&op).ok_or_else(|| {
-                    DharmaError::Timeout(format!("operation {op} never completed"))
-                });
-            }
-            budget = budget.saturating_sub(stepped);
-            if budget == 0 {
+            if net.events_processed() - start >= self.cfg.max_events_per_op {
                 return Err(DharmaError::Timeout(format!(
                     "operation {op} exceeded the event budget"
+                )));
+            }
+            if !net.step() {
+                return Err(DharmaError::Timeout(format!(
+                    "operation {op} never completed"
                 )));
             }
         }
@@ -776,7 +783,7 @@ impl DharmaClient {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::overlay;
+    use crate::testutil::{overlay, overlay_with};
     use dharma_likir::CertificationAuthority;
     use dharma_types::{block_key, BlockType};
 
@@ -983,49 +990,10 @@ mod tests {
     /// Like [`overlay`], but with per-node hot caches enabled and enough
     /// nodes that a client's home is usually *not* a holder — reads get
     /// cached, and a later write elsewhere leaves those caches stale.
-    fn cached_overlay(n: usize, seed: u64) -> dharma_net::SimNet<KademliaNode> {
-        use dharma_kademlia::KadConfig;
-        use dharma_net::{SimConfig, SimNet};
-        use dharma_types::Id160;
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-        let mut net = SimNet::new(SimConfig {
-            latency_min_us: 1_000,
-            latency_max_us: 8_000,
-            drop_rate: 0.0,
-            mtu: 64 * 1024,
-            seed,
-            shards: 1,
-            topology: None,
-        });
-        let mut rng = StdRng::seed_from_u64(seed);
-        let cfg = KadConfig {
-            k: 8,
-            alpha: 3,
-            rpc_timeout_us: 300_000,
-            reply_budget: 60_000,
-            cache: Some(dharma_cache::CacheConfig::default()),
-            counters: net.counters(),
-            ..KadConfig::default()
-        };
-        let mut first = None;
-        for i in 0..n {
-            let id = Id160::random(&mut rng);
-            let node = KademliaNode::new(id, i as u32, cfg.clone());
-            let addr = net.add_node(node);
-            if let Some(seed_contact) = &first {
-                net.node_mut(addr)
-                    .add_seed(dharma_kademlia::Contact::clone(seed_contact));
-                net.with_node(addr, |node, ctx| {
-                    node.bootstrap(ctx);
-                });
-            } else {
-                first = Some(net.node(addr).contact().clone());
-            }
-        }
-        net.run_until_idle(5_000_000);
-        net.take_completions();
-        net
+    fn cached_overlay(n: usize, seed: u64) -> SimNet<KademliaNode> {
+        overlay_with(n, seed, 1, |cfg| {
+            cfg.cache = Some(dharma_cache::CacheConfig::default());
+        })
     }
 
     #[test]
@@ -1152,6 +1120,244 @@ mod tests {
         // Eventual reads are unaffected by the floor.
         let (view, _) = c.get(&mut net, r_bar, 0, Consistency::Eventual).unwrap();
         assert!(view.is_some());
+    }
+
+    #[test]
+    fn tagging_twice_keeps_read_your_writes_of_t_hat_readable() {
+        let mut net = overlay(12, 25);
+        let mut c = client(ApproxPolicy::EXACT, 1);
+        // A single-tag insert and a repeated tag each send an empty t̂
+        // append: it costs its lookup, but stores nothing to read back.
+        c.insert_resource(&mut net, "solo", "uri://solo", &["lonely"])
+            .unwrap();
+        c.insert_resource(&mut net, "res", "uri://x", &["rock", "jazz"])
+            .unwrap();
+        c.tag(&mut net, "res", "pop").unwrap();
+        let receipt = c.tag(&mut net, "res", "pop").unwrap();
+        assert!(!receipt.newly_attached);
+        assert_eq!(
+            receipt.cost.lookups,
+            4 + 2,
+            "the empty t̂ append still counts"
+        );
+        for (tag, arcs) in [("lonely", 0), ("pop", 2)] {
+            let t_hat = block_key(tag, BlockType::TagNeighbors);
+            let (view, _) = c
+                .get(&mut net, t_hat, 0, Consistency::ReadYourWrites)
+                .unwrap();
+            assert_eq!(view.map_or(0, |v| v.entries.len()), arcs, "{tag}");
+        }
+    }
+
+    #[test]
+    fn a_foreign_completion_with_the_clients_op_id_is_not_its_own() {
+        let mut net = overlay(16, 26);
+        let mut c = client(ApproxPolicy::EXACT, 1);
+        // Runs `issue` through the client; returns its op id and output.
+        fn run(
+            c: &mut DharmaClient,
+            net: &mut SimNet<KademliaNode>,
+            issue: impl Fn(&mut KademliaNode, &mut dharma_net::Ctx<KadOutput>) -> u64,
+        ) -> (u64, KadOutput) {
+            let mut issued = 0;
+            let (out, _) = c
+                .run_op(net, false, false, |n, ctx| {
+                    issued = issue(n, ctx);
+                    issued
+                })
+                .unwrap();
+            (issued, out)
+        }
+        let uri = block_key("res", BlockType::ResourceUri);
+        let absent = block_key("nothing", BlockType::ResourceTags);
+        let target = net.node(5).contact().id;
+
+        // Op ids are only unique per node. Node 2's write shares its id
+        // with the client's read on home 1 and completes just after it,
+        // while the overlay is still busy with both.
+        let foreign = net.with_node(2, |n, ctx| n.put_blob(ctx, uri, b"uri://x".to_vec()));
+        let (own, out) = run(&mut c, &mut net, |n, ctx| n.get(ctx, absent, 0));
+        assert_eq!(own, foreign, "precondition: the op ids collide");
+        assert!(
+            matches!(out, KadOutput::Value { value: None, .. }),
+            "got {out:?}"
+        );
+
+        // Node 2's lookup completed before the client issued, and nobody
+        // drained its completion yet.
+        let foreign = net.with_node(2, |n, ctx| n.find_nodes(ctx, target));
+        net.run_until_idle(100_000);
+        let (own, out) = run(&mut c, &mut net, |n, ctx| {
+            n.put_blob(ctx, uri, b"uri://x".to_vec())
+        });
+        assert_eq!(own, foreign, "precondition: the op ids collide");
+        assert!(matches!(out, KadOutput::Written { .. }), "got {out:?}");
+    }
+
+    #[test]
+    fn background_completions_leave_no_per_op_state() {
+        // Republish keeps timers armed and replication ops completing on
+        // every holder, whichever op the client waits for. The client keeps
+        // none of them: it drains them and drops every one but its own.
+        let mut net = overlay_with(16, 27, 1, |cfg| {
+            cfg.republish_interval_us = Some(200_000);
+        });
+        let mut c = client(ApproxPolicy::EXACT, 1);
+        c.insert_resource(&mut net, "res", "uri://x", &["rock", "jazz"])
+            .unwrap();
+        let tracked = c.session().tracked();
+        let mut background = 0;
+        for _ in 0..40 {
+            c.tag(&mut net, "res", "rock").unwrap();
+            assert!(
+                net.take_completions_from().is_empty(),
+                "the client drains every completion up to its own"
+            );
+            net.run_until(net.now_us() + 250_000);
+            background += net.take_completions_from().len();
+        }
+        assert!(
+            background > 0,
+            "background ops completed between client ops"
+        );
+        assert_eq!(
+            c.session().tracked(),
+            tracked,
+            "per-key floors only: repeated ops on the same keys add nothing"
+        );
+    }
+
+    #[test]
+    fn an_op_returns_at_its_completing_event() {
+        // Twin overlays: one read through the client, one driven by hand
+        // one event at a time. The client's clock must stop where the
+        // completion fires. The key is absent, so the read runs a whole
+        // lookup.
+        let mut nets = [overlay(16, 28), overlay(16, 28)];
+        let key = block_key("res", BlockType::ResourceTags);
+        let [client_net, hand_net] = &mut nets;
+        let (view, cost) = client(ApproxPolicy::EXACT, 1)
+            .get(client_net, key, 0, Consistency::Eventual)
+            .unwrap();
+        assert!(view.is_none() && cost.messages > 0);
+        let op = hand_net.with_node(1, |n, ctx| n.get(ctx, key, 0));
+        while !hand_net
+            .take_completions_from()
+            .iter()
+            .any(|&(addr, id, _)| addr == 1 && id == op)
+        {
+            assert!(hand_net.step());
+        }
+        assert_eq!(client_net.now_us(), hand_net.now_us());
+        assert_eq!(client_net.events_processed(), hand_net.events_processed());
+    }
+
+    #[test]
+    fn a_tag_advances_the_clock_by_its_own_latencies_only() {
+        // Loss-free, no background timers: each lookup and write takes a
+        // few round trips of at most 16 ms. Trailing RPC timers
+        // (rpc_timeout_us = 300 ms) stay queued rather than being waited
+        // out after every op.
+        let mut net = overlay(16, 29);
+        let mut c = client(ApproxPolicy::EXACT, 1);
+        c.insert_resource(&mut net, "res", "uri://x", &["rock", "jazz", "pop"])
+            .unwrap();
+        let start = net.now_us();
+        let receipt = c.tag(&mut net, "res", "new").unwrap();
+        let elapsed = net.now_us() - start;
+        assert_eq!(receipt.cost.lookups, 4 + 3);
+        assert!(
+            elapsed < u64::from(receipt.cost.lookups) * 100_000,
+            "{elapsed} us for {} lookups",
+            receipt.cost.lookups
+        );
+        let done = net.now_us();
+        net.run_until_idle(1_000_000);
+        assert!(
+            net.now_us() - done > 200_000,
+            "the last op's RPC timers were still pending"
+        );
+    }
+
+    #[test]
+    fn an_event_budget_of_one_times_out_after_one_event() {
+        let mut net = overlay(12, 30);
+        let cfg = DharmaConfig::builder()
+            .max_events_per_op(1)
+            .build()
+            .unwrap();
+        let ca = CertificationAuthority::new(b"dharma-tests");
+        let mut c = DharmaClient::new(1, ca.register("alice", 0), cfg);
+        let before = net.events_processed();
+        // A tag starts with an append, which is never retried.
+        let err = c.tag(&mut net, "res", "rock").unwrap_err();
+        assert!(matches!(err, DharmaError::Timeout(_)), "got {err:?}");
+        assert_eq!(net.events_processed() - before, 1);
+    }
+
+    #[test]
+    fn the_sharded_engine_serves_the_client_the_same_outputs() {
+        // A write and a read-back, by a client whose home is not a holder.
+        let outputs = |shards: usize| {
+            let mut net = overlay_with(16, 31, shards, |_| {});
+            client(ApproxPolicy::EXACT, 1)
+                .insert_resource(&mut net, "res", "uri://x", &["rock", "jazz"])
+                .unwrap();
+            let key = block_key("res", BlockType::ResourceTags);
+            let home = (0..16).find(|&h| !net.node(h).storage().contains(&key));
+            let mut c = client(ApproxPolicy::EXACT, home.unwrap());
+            let entry = vec![StoredEntry {
+                name: "pop".into(),
+                weight: 1,
+            }];
+            let (written, _) = c
+                .run_op(&mut net, false, false, |n, ctx| {
+                    n.append_many(ctx, key, entry.clone())
+                })
+                .unwrap();
+            let (read, _) = c
+                .run_op(&mut net, true, false, |n, ctx| n.get(ctx, key, 0))
+                .unwrap();
+            [written, read]
+        };
+        let sharded = outputs(4);
+        assert_eq!(sharded, outputs(2), "invariant across shard counts");
+        // The engines draw link delays in different orders, so a stamp's
+        // clock-derived seq differs between them; everything else agrees.
+        let unclocked = |outs: [KadOutput; 2]| {
+            outs.map(|out| match out {
+                KadOutput::Written {
+                    acks,
+                    targets,
+                    stamp,
+                } => KadOutput::Written {
+                    acks,
+                    targets,
+                    stamp: VersionStamp::new(0, stamp.writer),
+                },
+                KadOutput::Value { value, messages } => KadOutput::Value {
+                    value: value.map(|mut v| {
+                        v.version = VersionStamp::new(0, v.version.writer);
+                        v
+                    }),
+                    messages,
+                },
+                other => other,
+            })
+        };
+        let serial = outputs(1);
+        for outs in [&serial, &sharded] {
+            let [KadOutput::Written { stamp, .. }, KadOutput::Value {
+                value: Some(v),
+                messages,
+            }] = outs
+            else {
+                panic!("unexpected outputs {outs:?}");
+            };
+            assert_eq!(v.version, *stamp, "the read serves the write");
+            assert!(*messages > 0, "the read went over the network");
+        }
+        assert_eq!(unclocked(serial), unclocked(sharded));
     }
 
     #[test]

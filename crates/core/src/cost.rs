@@ -38,7 +38,11 @@ pub struct OpCost {
     /// about how many DHT operations a primitive *issues*, not how far each
     /// one travels — so these formulas hold with or without caching.
     pub lookups: u32,
-    /// Datagrams sent across all those lookups (transport-level detail).
+    /// Datagrams sent between each lookup's issue and its completion
+    /// (transport-level detail). The count is the network-wide delta, so
+    /// background traffic in that span (maintenance, gossip, pushes)
+    /// counts too; traffic an op leaves behind after completing (late
+    /// replies, trailing timers) counts toward whatever is driven next.
     pub messages: u64,
     /// Of the lookups, how many GETs were answered from a hot-block cache
     /// (the home node's own or one met on the lookup path). Always 0 when

@@ -9,17 +9,28 @@ use rand::SeedableRng;
 /// Builds and bootstraps an `n`-node overlay with fast links and a large
 /// MTU (tests focus on protocol behaviour, not payload limits).
 pub(crate) fn overlay(n: usize, seed: u64) -> SimNet<KademliaNode> {
+    overlay_with(n, seed, 1, |_| {})
+}
+
+/// [`overlay`] on `shards` event shards (1 = the serial engine), with
+/// `tweak` applied to the node config every node shares.
+pub(crate) fn overlay_with(
+    n: usize,
+    seed: u64,
+    shards: usize,
+    tweak: impl FnOnce(&mut KadConfig),
+) -> SimNet<KademliaNode> {
     let mut net = SimNet::new(SimConfig {
         latency_min_us: 1_000,
         latency_max_us: 8_000,
         drop_rate: 0.0,
         mtu: 64 * 1024,
         seed,
-        shards: 1,
+        shards,
         topology: None,
     });
     let mut rng = StdRng::seed_from_u64(seed);
-    let cfg = KadConfig {
+    let mut cfg = KadConfig {
         k: 8,
         alpha: 3,
         rpc_timeout_us: 300_000,
@@ -27,6 +38,7 @@ pub(crate) fn overlay(n: usize, seed: u64) -> SimNet<KademliaNode> {
         counters: net.counters(),
         ..KadConfig::default()
     };
+    tweak(&mut cfg);
     let mut first = None;
     for i in 0..n {
         let id = Id160::random(&mut rng);
@@ -42,7 +54,9 @@ pub(crate) fn overlay(n: usize, seed: u64) -> SimNet<KademliaNode> {
             first = Some(net.node(addr).contact().clone());
         }
     }
-    net.run_until_idle(5_000_000);
+    // Loss-free overlays go idle long before the budget; it bounds the
+    // set-up of overlays whose tweak arms periodic timers.
+    net.run_until_idle(200_000);
     net.take_completions();
     net
 }

@@ -426,7 +426,8 @@ pub enum KadOutput {
     },
     /// A write (STORE/APPEND) finished.
     Written {
-        /// Acks received.
+        /// Durable copies: acks received, plus one for the local apply
+        /// when the coordinator is itself a replica. Never above `targets`.
         acks: u32,
         /// Replicas targeted (including a local apply, which needs no ack).
         targets: u32,
@@ -469,6 +470,9 @@ enum Phase {
         acks: u32,
         pending: u32,
         targets: u32,
+        /// The coordinator is a replica and applied the write locally: a
+        /// durable copy that needs no ack.
+        include_self: bool,
         /// The origin stamp this write travels under (minted at phase
         /// entry for client writes; the snapshot's own for replication).
         stamp: VersionStamp,
@@ -2260,6 +2264,7 @@ impl KademliaNode {
                         acks: 0,
                         pending: replicas.len() as u32,
                         targets,
+                        include_self,
                         stamp,
                     };
                 }
@@ -2296,7 +2301,7 @@ impl KademliaNode {
                 }
 
                 if replicas.is_empty() {
-                    let acks = 0;
+                    let acks = u32::from(include_self);
                     if let Some(op) = self.ops.get_mut(&op_id) {
                         op.done = true;
                     }
@@ -2378,6 +2383,7 @@ impl KademliaNode {
             acks,
             pending,
             targets,
+            include_self,
             stamp,
         } = &mut op.phase
         else {
@@ -2388,7 +2394,7 @@ impl KademliaNode {
         }
         *pending -= 1;
         if *pending == 0 {
-            let acks = *acks + 1; // count the local apply as durable
+            let acks = *acks + u32::from(*include_self);
             let targets = *targets;
             let stamp = *stamp;
             let key = op.lookup.target();
@@ -3505,6 +3511,41 @@ mod tests {
     }
 
     #[test]
+    fn write_acks_count_the_local_apply_only_at_a_replica() {
+        let (mut net, contacts) = build_net(20, 2);
+        let coordinator = 3;
+        let me = contacts[coordinator as usize].id;
+        // Whether the coordinator is among the k = 8 ids closest to `key`.
+        let is_replica = |key: &Id160| {
+            let mut dists: Vec<_> = contacts.iter().map(|c| c.id.distance(key)).collect();
+            dists.sort_unstable();
+            me.distance(key) <= dists[7]
+        };
+        let keys: Vec<Id160> = (0u32..64).map(|i| sha1(&i.to_be_bytes())).collect();
+        let inside = *keys.iter().find(|k| is_replica(k)).unwrap();
+        let outside = *keys.iter().find(|k| !is_replica(k)).unwrap();
+        for (key, replica) in [(inside, true), (outside, false)] {
+            let op = net.with_node(coordinator, |n, ctx| n.append(ctx, key, "x", 1));
+            net.run_until_idle(100_000);
+            let done = net.take_completions_from();
+            let (_, _, out) = done
+                .iter()
+                .find(|(addr, id, _)| *addr == coordinator && *id == op)
+                .unwrap();
+            let KadOutput::Written { acks, targets, .. } = *out else {
+                panic!("unexpected output {out:?}");
+            };
+            assert_eq!(net.node(coordinator).storage().contains(&key), replica);
+            assert!(
+                acks <= targets,
+                "replica {replica}: {acks} acks > {targets} targets"
+            );
+            // Loss-free: every target holds a copy, local or acked.
+            assert_eq!(acks, targets, "replica {replica}");
+        }
+    }
+
+    #[test]
     fn append_accumulates_across_writers() {
         let (mut net, _contacts) = build_net(16, 3);
         let key = sha1(b"tag:rock|3");
@@ -3595,7 +3636,14 @@ mod tests {
         net.run_until_idle(10_000);
         let completions = net.take_completions();
         let put = completions.iter().find(|(i, _)| *i == op_put).unwrap();
-        assert!(matches!(put.1, KadOutput::Written { targets: 1, .. }));
+        assert!(matches!(
+            put.1,
+            KadOutput::Written {
+                acks: 1,
+                targets: 1,
+                ..
+            }
+        ));
         // Local fast-path read.
         let op_get = net.with_node(0, |n, ctx| n.get(ctx, key, 0));
         net.run_until_idle(10_000);
