@@ -1,12 +1,13 @@
 //! Microbenchmarks of the hot primitives underneath every experiment:
-//! SHA-1 hashing, wire codec, Kendall τ-b, Fenwick sampling, Zipf sampling,
-//! FG top-N selection, and the `dharma-par` speedup on a metric-style load.
+//! SHA-1 hashing, wire codec, the per-hop routing and storage kernels,
+//! Kendall τ-b, Fenwick sampling, Zipf sampling, FG top-N selection, and
+//! the `dharma-par` speedup on a metric-style load.
 
-use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use dharma_dataset::{Fenwick, Zipf};
 use dharma_folksonomy::kendall::{tau_b, tau_b_reference};
 use dharma_folksonomy::{Fg, TagId};
-use dharma_kademlia::{Contact, Message};
+use dharma_kademlia::{Contact, Message, RoutingTable, Storage};
 use dharma_par::ThreadPool;
 use dharma_types::{sha1, VersionStamp, WireDecode, WireEncode};
 use rand::rngs::StdRng;
@@ -49,6 +50,55 @@ fn bench_codec(c: &mut Criterion) {
     let encoded = msg.encode_to_bytes();
     group.bench_function("decode_found_nodes_20", |b| {
         b.iter(|| Message::decode_exact(&encoded).unwrap())
+    });
+    group.finish();
+}
+
+/// The two questions every lookup hop asks a node's routing table: the
+/// `k` closest contacts to a key, and whether the node itself ranks within
+/// `k` of it. The table is filled from a 128-node overlay at k = 20.
+fn bench_routing(c: &mut Criterion) {
+    let mut group = c.benchmark_group("micro_routing");
+    let mut rt = RoutingTable::new(sha1(b"node-0"), 20);
+    for n in 1..128u32 {
+        rt.note_contact(Contact {
+            id: sha1(format!("node-{n}").as_bytes()),
+            addr: n,
+        });
+    }
+    let keys: Vec<_> = (0..64u32).map(|i| sha1(&i.to_le_bytes())).collect();
+    let mut i = 0;
+    group.bench_function("closest_k20_of_128", |b| {
+        b.iter(|| {
+            i = (i + 1) % keys.len();
+            rt.closest(black_box(&keys[i]), 20)
+        })
+    });
+    group.bench_function("count_closer_than_local_128", |b| {
+        b.iter(|| {
+            i = (i + 1) % keys.len();
+            rt.count_closer_than_local(black_box(&keys[i]))
+        })
+    });
+    group.finish();
+}
+
+/// Index-side filtering of one 500-entry block whose weights tie often
+/// (1..8), at top-100 and unfiltered, within a 1200-byte reply budget.
+fn bench_storage(c: &mut Criterion) {
+    let mut group = c.benchmark_group("micro_storage");
+    let mut storage = Storage::new();
+    let key = sha1(b"block");
+    let mut rng = StdRng::seed_from_u64(4);
+    for n in 0..500u64 {
+        let stamp = VersionStamp::new(n + 1, sha1(b"w"));
+        storage.append(key, &format!("tag-{n:03}"), rng.gen_range(1..8), stamp);
+    }
+    group.bench_function("read_filtered_top100_of_500", |b| {
+        b.iter(|| storage.read_filtered(black_box(&key), 100, 1200))
+    });
+    group.bench_function("read_filtered_all_of_500", |b| {
+        b.iter(|| storage.read_filtered(black_box(&key), 0, 1200))
     });
     group.finish();
 }
@@ -128,6 +178,8 @@ criterion_group!(
     benches,
     bench_sha1,
     bench_codec,
+    bench_routing,
+    bench_storage,
     bench_kendall,
     bench_sampling,
     bench_top_neighbors,

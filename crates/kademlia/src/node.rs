@@ -9,12 +9,10 @@
 //!   the `k` closest nodes found.
 //!
 //! Every received message refreshes the sender in the routing table; every
-//! RPC timeout marks the silent contact suspect — by default it is *probed*
-//! with a `PING` and evicted only when the probe also fails
-//! (ping-before-evict, §2.2 of the Kademlia paper; set
-//! [`KadConfig::ping_before_evict`] to `false` for the old
-//! evict-on-first-timeout behavior). Bucket refresh for idle buckets is
-//! exposed as [`KademliaNode::refresh_bucket`] for long-running deployments.
+//! RPC timeout marks the silent contact suspect — it is *probed* with a
+//! `PING` and evicted only when the probe also fails (ping-before-evict,
+//! §2.2 of the Kademlia paper). Bucket refresh for idle buckets is exposed
+//! as [`KademliaNode::refresh_bucket`] for long-running deployments.
 //!
 //! **Churn maintenance** ([`MaintConfig`], the `dharma-maint` subsystem)
 //! turns the timer path into a full self-healing loop:
@@ -361,13 +359,6 @@ pub struct KadConfig {
     /// authoritative holders track per-key GET rates and push idempotent
     /// replica snapshots beyond the base `k` when a key runs hot.
     pub replication: Option<PopularityConfig>,
-    /// Ping-before-evict (default `true`, the Kademlia paper's rule): an
-    /// RPC timeout sends a liveness probe to the suspect instead of
-    /// evicting it outright; only a failed probe evicts (and promotes from
-    /// the bucket's replacement cache). `false` restores the old
-    /// evict-on-first-timeout policy — cheaper, but one lost datagram can
-    /// drop a live contact.
-    pub ping_before_evict: bool,
     /// Churn maintenance loop (`None` = disabled, the default): liveness
     /// probes, join-time key handoff, failure-driven re-replication, and
     /// replica demotion. See [`MaintConfig`].
@@ -403,7 +394,6 @@ impl Default for KadConfig {
             record_ttl_us: None,
             cache: None,
             replication: None,
-            ping_before_evict: true,
             maintenance: None,
             freshness: None,
             latency: None,
@@ -1068,15 +1058,6 @@ impl KademliaNode {
         }
     }
 
-    /// Builds the version digest piggybacked on a reply: up to
-    /// [`FreshConfig::digest_max`] `(held key, origin stamp)` pairs,
-    /// picked as (1) recent local writes (the news ring, newest first) —
-    /// the versions peers are most likely stale on; (2) the hottest held
-    /// keys per the popularity tracker — the views most likely cached
-    /// elsewhere, so their confirmations extend the most TTLs; (3) held
-    /// keys nearest `around` (the lookup target) — what the requester is
-    /// asking about. Empty when `dharma-fresh` is off, so disabled nodes
-    /// gossip nothing.
     /// True while this node still ranks within `k` of `key` per its own
     /// routing view — the bar for speaking *authoritatively* about a
     /// held copy: serving it as a holder and gossiping its stamp in
@@ -1092,15 +1073,27 @@ impl KademliaNode {
     /// to a current holder. Only consulted under `dharma-fresh`: without
     /// version gossip, beyond-`k` copies are a deliberate churn safety
     /// net and keep serving.
+    ///
+    /// "Fewer than `k` contacts known, or the `k`-th closest known contact
+    /// no closer than this node" is the same predicate as "fewer than `k`
+    /// known contacts strictly closer to `key` than this node", and a
+    /// contact is closer exactly when its bucket's bit is set in
+    /// `own id ⊕ key` — so the check is a sum of bucket sizes
+    /// ([`RoutingTable::count_closer_than_local`]), with no sort, no
+    /// allocation and no per-contact distance.
     fn likely_authoritative(&self, key: &Id160) -> bool {
-        let closest = self.routing.closest(key, self.cfg.k);
-        if closest.len() < self.cfg.k {
-            return true;
-        }
-        let kth = closest.last().expect("len checked").id.distance(key);
-        kth >= self.contact.id.distance(key)
+        self.routing.count_closer_than_local(key) < self.cfg.k
     }
 
+    /// Builds the version digest piggybacked on a reply: up to
+    /// [`FreshConfig::digest_max`] `(held key, origin stamp)` pairs,
+    /// picked as (1) recent local writes (the news ring, newest first) —
+    /// the versions peers are most likely stale on; (2) the hottest held
+    /// keys per the popularity tracker — the views most likely cached
+    /// elsewhere, so their confirmations extend the most TTLs; (3) held
+    /// keys nearest `around` (the lookup target) — what the requester is
+    /// asking about. Empty when `dharma-fresh` is off, so disabled nodes
+    /// gossip nothing.
     fn build_digest(&self, around: Option<&Id160>, now_us: u64) -> Vec<DigestEntry> {
         let Some(f) = &self.fresh else {
             return Vec::new();
@@ -3159,24 +3152,15 @@ impl Node for KademliaNode {
             }
             return;
         }
+        // An RTT-adaptive timer that fired at ~β×srtt, or a retransmitted
+        // attempt that gave up, leaves the contact alone: the reply may
+        // simply still be in flight, or one datagram was lost on a live
+        // link. Only an untouched full-timeout RPC makes the contact a
+        // *suspect*: probe it, and evict on probe failure. Either way the
+        // op moves on below.
         let early = pend.timeout_us < self.cfg.rpc_timeout_us;
-        if early || pend.first_sent_us < pend.sent_at_us {
-            // An RTT-adaptive timer fired at ~β×srtt (or a retransmitted
-            // attempt gave up): the reply may simply still be in flight,
-            // or one datagram was lost on a live link. The lookup moves
-            // on below, but the routing table keeps the contact — only
-            // untouched full-timeout RPCs and liveness probes carry
-            // enough evidence to evict and count a departure.
-        } else if self.cfg.ping_before_evict {
-            // The op moves on below, but the routing table only marks the
-            // contact *suspect*: probe it, and evict on probe failure.
+        if !early && pend.first_sent_us == pend.sent_at_us {
             self.probe_contact(ctx, pend.to.clone());
-        } else if self.routing.note_failure(&pend.to.id) {
-            self.note_departure(ctx.now_us, 1.0);
-            if let Some(f) = self.fresh.as_mut() {
-                f.hits.forget_peer(&pend.to.id);
-                f.fetchers.forget_peer(&pend.to.id);
-            }
         }
         let Some(op) = self.ops.get_mut(&pend.op) else {
             return;
@@ -4769,13 +4753,13 @@ mod tests {
     fn repair_push_timeout_feeds_the_churn_estimator() {
         let cfg = KadConfig {
             k: 4,
-            ping_before_evict: false, // direct evict: isolate the repair path
             maintenance: Some(MaintConfig {
                 adaptive: Some(adapt_cfg()),
                 ..MaintConfig::default()
             }),
             ..KadConfig::default()
         };
+        let timeout = cfg.rpc_timeout_us;
         let mut node = KademliaNode::new(sha1(b"holder"), 0, cfg);
         let key = sha1(b"repaired-key");
         let mut ctx: Ctx<KadOutput> = Ctx::new(0, 0, 1);
@@ -4804,18 +4788,84 @@ mod tests {
             "repair pushes are tracked with a pending-RPC timeout"
         );
 
-        // No ack arrives: the timeout must evict the corpse and count the
-        // departure — the estimator learns on the *first* repair round.
-        let mut ctx: Ctx<KadOutput> = Ctx::new(2_000_000, 0, 3);
+        // No ack arrives: the timeout only makes the corpse a suspect and
+        // sends it a liveness probe.
+        let at = 1_000 + timeout;
+        let mut ctx: Ctx<KadOutput> = Ctx::new(at, 0, 3);
         node.on_timer(&mut ctx, rpc);
+        assert!(
+            node.routing().contains(&corpse.id),
+            "one silent RPC is not yet a death"
+        );
+        assert_eq!(node.churn_weight(at), 0.0);
+        let (sends, timers, _) = ctx.into_effects();
+        let probe = sends
+            .iter()
+            .find_map(|m| match Message::decode_exact(&m.payload) {
+                Ok(Message::Ping { rpc, .. }) if m.to == corpse.addr => Some(rpc),
+                _ => None,
+            })
+            .expect("the suspect is probed");
+        assert!(
+            timers.iter().any(|&(_, id)| id == probe),
+            "the probe is tracked with a pending-RPC timeout"
+        );
+
+        // The probe goes unanswered too: the corpse is evicted and counted
+        // as a departure — the estimator learns on the *first* repair round.
+        let at = at + timeout;
+        let mut ctx: Ctx<KadOutput> = Ctx::new(at, 0, 4);
+        node.on_timer(&mut ctx, probe);
         assert!(
             !node.routing().contains(&corpse.id),
             "the silent replica is evicted"
         );
         assert!(
-            node.churn_weight(2_000_000) >= 1.0,
+            node.churn_weight(at) >= 1.0,
             "the departure feeds the churn estimate"
         );
+    }
+
+    #[test]
+    fn a_node_with_zero_k_answers_lookups_without_panicking() {
+        let cfg = KadConfig {
+            k: 0,
+            freshness: Some(dharma_cache::FreshConfig::default()),
+            ..KadConfig::default()
+        };
+        let mut node = KademliaNode::new(sha1(b"k-zero"), 0, cfg);
+        let key = sha1(b"held");
+        let mut ctx: Ctx<KadOutput> = Ctx::new(0, 0, 1);
+        node.append(&mut ctx, key, "x", 1);
+        let from = Contact {
+            id: sha1(b"asker"),
+            addr: 7,
+        };
+        let mut ctx: Ctx<KadOutput> = Ctx::new(1_000, 0, 2);
+        node.on_message(
+            &mut ctx,
+            from.addr,
+            Message::FindNode {
+                rpc: 1,
+                from: from.clone(),
+                target: key,
+            }
+            .encode_to_bytes(),
+        );
+        node.on_message(
+            &mut ctx,
+            from.addr,
+            Message::FindValue {
+                rpc: 2,
+                from: from.clone(),
+                key,
+                top_n: 0,
+                no_cache: false,
+            }
+            .encode_to_bytes(),
+        );
+        let (sends, _, _) = ctx.into_effects();
+        assert_eq!(sends.len(), 2, "both requests are answered");
     }
 
     #[test]

@@ -6,16 +6,37 @@
 //! contacts move to the tail, and eviction prefers the stale head.
 //!
 //! Eviction policy: the original paper pings the least-recently-seen contact
-//! before dropping it. The node layer implements exactly that as the
-//! **default** — an RPC timeout or a full bucket does not evict outright;
-//! the suspect is probed with a `PING` and only a failed probe removes it
-//! (see `KadConfig::ping_before_evict`). The table itself stays
+//! before dropping it. The node layer implements exactly that — an RPC
+//! timeout or a full bucket does not evict outright; the suspect is probed
+//! with a `PING` and only a failed probe removes it. The table itself stays
 //! probe-agnostic: it additionally keeps the common *replacement cache* —
 //! a full bucket stashes newcomers in a side cache and promotes them when a
 //! resident contact is evicted — so a confirmed-dead resident is replaced
-//! without losing the newcomer that exposed it. Setting
-//! `ping_before_evict = false` restores the old evict-on-first-timeout
-//! behavior (replacement cache only).
+//! without losing the newcomer that exposed it.
+//!
+//! ## Bucket order relative to a target
+//!
+//! Let `x = local ⊕ target`. A contact `c` in bucket `i` agrees with the
+//! local id on bits `0..i` and differs at bit `i`, so `c ⊕ target` agrees
+//! with `x` on bits `0..i` and has bit `i` equal to `1 - x[i]`. Comparing
+//! two contacts from buckets `i < j` therefore comes down to bit `i`: the
+//! bucket-`i` contact is closer to `target` exactly when `x[i] = 1`. The
+//! buckets sorted by distance to `target` are thus the indices with a set
+//! bit in `x`, ascending, followed by the indices with a clear bit,
+//! descending — and every contact of an earlier bucket is strictly closer
+//! than every contact of a later one. [`RoutingTable::closest`] walks that
+//! order, sorts only the buckets it visits and stops after `n` contacts;
+//! [`RoutingTable::count_closer_than_local`] is the same identity read as
+//! a count (a contact is closer to `target` than the local node exactly
+//! when its bucket's bit of `x` is set).
+//!
+//! Both walks stop at the high-water mark `occupied`: one past the deepest
+//! bucket that has ever held a live contact. It only grows. Evictions can
+//! empty a bucket below the mark, which the walks simply pass over, but
+//! shrinking it would have to find the new deepest live bucket on every
+//! eviction, and a replacement-cache promotion can refill any bucket below
+//! it. Every bucket at or beyond the mark is empty, so bounding a walk by
+//! it never skips a contact; with 128 nodes it is about 8 rather than 160.
 
 use dharma_types::{Distance, Id160, ID160_BITS};
 
@@ -157,6 +178,9 @@ pub struct RoutingTable {
     local: Id160,
     k: usize,
     buckets: Vec<KBucket>,
+    /// One past the deepest bucket that ever held a live contact; every
+    /// bucket at or beyond it is empty (see the module docs).
+    occupied: usize,
 }
 
 impl RoutingTable {
@@ -166,6 +190,7 @@ impl RoutingTable {
             local,
             k,
             buckets: vec![KBucket::default(); ID160_BITS],
+            occupied: 0,
         }
     }
 
@@ -188,7 +213,10 @@ impl RoutingTable {
     /// Self-contacts are ignored.
     pub fn note_contact(&mut self, c: Contact) -> NoteOutcome {
         match self.bucket_index(&c.id) {
-            Some(i) => self.buckets[i].note(c, self.k),
+            Some(i) => {
+                self.occupied = self.occupied.max(i + 1);
+                self.buckets[i].note(c, self.k)
+            }
             None => NoteOutcome::Ignored,
         }
     }
@@ -205,13 +233,16 @@ impl RoutingTable {
         rtt: &dyn Fn(&Id160) -> Option<u64>,
     ) -> (NoteOutcome, bool) {
         match self.bucket_index(&c.id) {
-            Some(i) => self.buckets[i].note_pns(c, self.k, rtt),
+            Some(i) => {
+                self.occupied = self.occupied.max(i + 1);
+                self.buckets[i].note_pns(c, self.k, rtt)
+            }
             None => (NoteOutcome::Ignored, false),
         }
     }
 
-    /// Records a confirmed failure for `id` (RPC timeout, or a failed
-    /// liveness probe under ping-before-evict), evicting it and promoting
+    /// Records a confirmed failure for `id` (a failed liveness probe, or a
+    /// graceful-leave notice), evicting it and promoting
     /// the freshest replacement-cache contact into the freed slot. Returns
     /// true when a live contact was actually evicted — the node layer's
     /// departure signal for the churn estimator (repeat failures of an
@@ -243,12 +274,12 @@ impl RoutingTable {
 
     /// Total live contacts.
     pub fn len(&self) -> usize {
-        self.buckets.iter().map(KBucket::len).sum()
+        self.live_buckets().iter().map(KBucket::len).sum()
     }
 
     /// True when the table knows nobody.
     pub fn is_empty(&self) -> bool {
-        self.buckets.iter().all(KBucket::is_empty)
+        self.live_buckets().iter().all(KBucket::is_empty)
     }
 
     /// The bucket at index `i` (tests and maintenance).
@@ -258,35 +289,79 @@ impl RoutingTable {
 
     /// Iterates every live contact (graceful-leave notices, diagnostics).
     pub fn iter(&self) -> impl Iterator<Item = &Contact> {
-        self.buckets.iter().flat_map(|b| b.entries.iter())
+        self.live_buckets().iter().flat_map(|b| b.entries.iter())
+    }
+
+    /// The buckets below `occupied`; every later bucket is empty.
+    fn live_buckets(&self) -> &[KBucket] {
+        &self.buckets[..self.occupied]
     }
 
     /// The `n` known contacts closest to `target`, ascending by XOR
     /// distance. Never includes the local node (it is not a contact).
+    /// Visits buckets in distance order (see the module docs) and sorts
+    /// only those it visits.
     pub fn closest(&self, target: &Id160, n: usize) -> Vec<Contact> {
-        let mut all: Vec<(Distance, Contact)> = self
-            .buckets
-            .iter()
-            .flat_map(|b| b.entries.iter())
-            .map(|c| (c.id.distance(target), c.clone()))
-            .collect();
-        if all.len() > n {
-            all.select_nth_unstable_by(n - 1, |a, b| a.0.cmp(&b.0));
-            all.truncate(n);
+        let mut out = Vec::with_capacity(n.min(self.k.saturating_mul(self.occupied)));
+        let mut bucket: Vec<((u128, u32), &Contact)> = Vec::new();
+        for i in self.buckets_by_distance(target) {
+            if out.len() == n {
+                break;
+            }
+            bucket.clear();
+            bucket.extend(
+                self.buckets[i]
+                    .entries
+                    .iter()
+                    .map(|c| (distance_key(c.id.distance(target)), c)),
+            );
+            bucket.sort_unstable_by_key(|&(d, _)| d);
+            let take = bucket.len().min(n - out.len());
+            out.extend(bucket[..take].iter().map(|&(_, c)| c.clone()));
         }
-        all.sort_unstable_by_key(|a| a.0);
-        all.into_iter().map(|(_, c)| c).collect()
+        out
+    }
+
+    /// How many live contacts are strictly closer to `target` than the
+    /// local node: the total size of the buckets whose bit is set in
+    /// `local ⊕ target` (see the module docs).
+    pub fn count_closer_than_local(&self, target: &Id160) -> usize {
+        let x = self.local.distance(target);
+        (0..self.occupied)
+            .filter(|&i| x.as_id().bit(i))
+            .map(|i| self.buckets[i].len())
+            .sum()
+    }
+
+    /// Bucket indices below `occupied`, nearest to `target` first.
+    fn buckets_by_distance(&self, target: &Id160) -> impl Iterator<Item = usize> {
+        let x = *self.local.distance(target).as_id();
+        let occupied = self.occupied;
+        let set = (0..occupied).filter(move |&i| x.bit(i));
+        let clear = (0..occupied).rev().filter(move |&i| !x.bit(i));
+        set.chain(clear)
     }
 
     /// Buckets that contain at least one contact, as `(index, len)` pairs.
     pub fn occupancy(&self) -> Vec<(usize, usize)> {
-        self.buckets
+        self.live_buckets()
             .iter()
             .enumerate()
             .filter(|(_, b)| !b.is_empty())
             .map(|(i, b)| (i, b.len()))
             .collect()
     }
+}
+
+/// `d` as its high 128 and low 32 bits: ordered exactly like the
+/// [`Distance`], but compared in two integer comparisons rather than a
+/// 20-byte lexicographic one.
+fn distance_key(d: Distance) -> (u128, u32) {
+    let (hi, lo) = d.as_id().as_bytes().split_at(16);
+    (
+        u128::from_be_bytes(hi.try_into().expect("20-byte id splits 16 + 4")),
+        u32::from_be_bytes(lo.try_into().expect("20-byte id splits 16 + 4")),
+    )
 }
 
 #[cfg(test)]
@@ -392,6 +467,50 @@ mod tests {
         rt.note_contact(contact(2));
         assert_eq!(rt.closest(&sha1(b"x"), 10).len(), 2);
         assert_eq!(table().closest(&sha1(b"x"), 10).len(), 0);
+    }
+
+    #[test]
+    fn closest_zero_is_empty() {
+        let mut rt = table();
+        assert!(rt.closest(&sha1(b"x"), 0).is_empty(), "empty table");
+        for n in 0..20 {
+            rt.note_contact(contact(n));
+        }
+        assert!(rt.closest(&sha1(b"x"), 0).is_empty());
+        assert!(rt.closest(&rt.local_id(), 0).is_empty());
+    }
+
+    #[test]
+    fn closest_walks_buckets_in_distance_order() {
+        // Five contacts per bucket depth 0..12 overflow every k = 4 bucket;
+        // the walk has to interleave set and clear bits of `local ⊕ target`.
+        let local = sha1(b"local");
+        let mut rt = RoutingTable::new(local, 4);
+        for depth in 0..12 {
+            for tail in 0..5u8 {
+                let mut d = [0u8; 20];
+                d[depth / 8] |= 0x80 >> (depth % 8);
+                d[19] ^= tail + 1;
+                let id = Id160::from_bytes(std::array::from_fn(|b| local.0[b] ^ d[b]));
+                rt.note_contact(Contact {
+                    id,
+                    addr: (depth * 5) as u32 + u32::from(tail),
+                });
+            }
+        }
+        for target in [sha1(b"t1"), sha1(b"t2"), local, local.with_flipped_bit(5)] {
+            let mut all: Vec<Contact> = (0..ID160_BITS)
+                .flat_map(|i| rt.bucket(i).contacts().iter().cloned())
+                .collect();
+            all.sort_by_key(|c| c.id.distance(&target));
+            for n in [1, 4, 7, all.len(), all.len() + 3] {
+                let want: Vec<Contact> = all.iter().take(n).cloned().collect();
+                assert_eq!(rt.closest(&target, n), want, "n = {n}");
+            }
+            let own = local.distance(&target);
+            let closer = all.iter().filter(|c| c.id.distance(&target) < own).count();
+            assert_eq!(rt.count_closer_than_local(&target), closer);
+        }
     }
 
     #[test]

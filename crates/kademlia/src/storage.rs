@@ -276,33 +276,37 @@ impl Storage {
         byte_budget: usize,
     ) -> Option<FilteredRead> {
         let state = self.values.get(key)?;
-        let mut entries: Vec<StoredEntry> = state
+        // Rank borrowed `(weight, name)` pairs; names are only copied for
+        // the entries that make it into the reply.
+        let mut ranked: Vec<(u64, &str)> = state
             .entries
             .iter()
-            .map(|&(sym, weight)| StoredEntry {
-                name: self.names.resolve(sym).to_owned(),
-                weight,
-            })
+            .map(|&(sym, weight)| (weight, self.names.resolve(sym)))
             .collect();
-        entries.sort_unstable_by(|a, b| b.weight.cmp(&a.weight).then(a.name.cmp(&b.name)));
+        let heaviest_first =
+            |a: &(u64, &str), b: &(u64, &str)| b.0.cmp(&a.0).then_with(|| a.1.cmp(b.1));
         let mut truncated = false;
-        if top_n > 0 && entries.len() > top_n as usize {
-            entries.truncate(top_n as usize);
+        if top_n > 0 && ranked.len() > top_n as usize {
+            ranked.select_nth_unstable_by(top_n as usize - 1, heaviest_first);
+            ranked.truncate(top_n as usize);
             truncated = true;
         }
+        ranked.sort_unstable_by(heaviest_first);
         // Enforce the byte budget on the encoded size (varint-accurate).
         let mut used = 0usize;
-        let mut keep = 0usize;
-        for e in &entries {
-            let size = entry_encoded_len(e);
+        let mut entries = Vec::with_capacity(ranked.len());
+        for &(weight, name) in &ranked {
+            let size = entry_encoded_len(name, weight);
             if used + size > byte_budget {
                 truncated = true;
                 break;
             }
             used += size;
-            keep += 1;
+            entries.push(StoredEntry {
+                name: name.to_owned(),
+                weight,
+            });
         }
-        entries.truncate(keep);
         Some(FilteredRead {
             entries,
             blob: state.blob.as_deref().map(<[u8]>::to_vec),
@@ -333,10 +337,10 @@ impl Storage {
 }
 
 /// Encoded size of one entry (length-prefixed name + varint weight).
-fn entry_encoded_len(e: &StoredEntry) -> usize {
-    dharma_types::wire::varint_len(e.name.len() as u64)
-        + e.name.len()
-        + dharma_types::wire::varint_len(e.weight)
+fn entry_encoded_len(name: &str, weight: u64) -> usize {
+    dharma_types::wire::varint_len(name.len() as u64)
+        + name.len()
+        + dharma_types::wire::varint_len(weight)
 }
 
 #[cfg(test)]

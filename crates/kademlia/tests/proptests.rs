@@ -1,10 +1,14 @@
 //! Property tests for the Kademlia substrate: message-codec totality,
-//! routing-table invariants, lookup convergence, and storage commutativity.
+//! routing-table invariants, lookup convergence, storage commutativity,
+//! and the bucket-walk `closest` and top-n-first `read_filtered` against
+//! brute-force references.
+
+use std::collections::BTreeMap;
 
 use bytes::Bytes;
 use dharma_kademlia::lookup::LookupState;
 use dharma_kademlia::{Contact, DigestEntry, Message, RoutingTable, Storage, StoredEntry};
-use dharma_types::{sha1, Id160, VersionStamp, WireDecode, WireEncode};
+use dharma_types::{sha1, Id160, VersionStamp, WireDecode, WireEncode, ID160_BITS};
 use proptest::prelude::*;
 
 fn arb_stamp() -> impl Strategy<Value = VersionStamp> {
@@ -188,6 +192,58 @@ fn arb_message() -> impl Strategy<Value = Message> {
     ]
 }
 
+/// The contact whose distance to `local` has its highest set bit at
+/// `depth` (so it lands in bucket `depth`), with random lower bits.
+fn contact_at_depth(local: &Id160, depth: usize, low: [u8; 20], addr: u32) -> Contact {
+    let mut d = low;
+    for bit in 0..=depth {
+        let mask = 0x80u8 >> (bit % 8);
+        if bit == depth {
+            d[bit / 8] |= mask;
+        } else {
+            d[bit / 8] &= !mask;
+        }
+    }
+    Contact {
+        id: Id160::from_bytes(std::array::from_fn(|i| local.as_bytes()[i] ^ d[i])),
+        addr,
+    }
+}
+
+/// The old full-sort `read_filtered`, over a plain name → weight model.
+fn reference_read(
+    model: &BTreeMap<String, u64>,
+    top_n: u32,
+    budget: usize,
+) -> (Vec<StoredEntry>, bool) {
+    let mut entries: Vec<StoredEntry> = model
+        .iter()
+        .map(|(name, &weight)| StoredEntry {
+            name: name.clone(),
+            weight,
+        })
+        .collect();
+    entries.sort_by(|a, b| b.weight.cmp(&a.weight).then(a.name.cmp(&b.name)));
+    let mut truncated = false;
+    if top_n > 0 && entries.len() > top_n as usize {
+        entries.truncate(top_n as usize);
+        truncated = true;
+    }
+    let mut used = 0;
+    let mut keep = 0;
+    for e in &entries {
+        let size = e.encode_to_bytes().len();
+        if used + size > budget {
+            truncated = true;
+            break;
+        }
+        used += size;
+        keep += 1;
+    }
+    entries.truncate(keep);
+    (entries, truncated)
+}
+
 proptest! {
     /// Every message roundtrips bit-exactly through the wire codec.
     #[test]
@@ -264,6 +320,76 @@ proptest! {
         ids.dedup();
         prop_assert_eq!(ids.len(), before, "no duplicate contacts");
         prop_assert!(!ids.contains(&local), "local id is not a contact");
+    }
+
+    /// `closest` equals "every live contact sorted by distance, first `n`"
+    /// for tables built from inserts, PNS demotions and failures across
+    /// many bucket depths, and `count_closer_than_local(t) < k` equals the
+    /// old rule "fewer than `k` known, or the `k`-th closest no closer than
+    /// the local node".
+    #[test]
+    fn closest_matches_brute_force(
+        ops in proptest::collection::vec(
+            // (kind, bucket depth, low bits, pick)
+            (0u8..5, prop_oneof![0usize..8, 0usize..160], any::<[u8; 20]>(), any::<u64>()),
+            1..300,
+        ),
+        k in 1usize..8,
+        // 0: plain inserts only, 1: PNS inserts only, 2: both.
+        pns_mode in 0u8..3,
+        salt in any::<u64>(),
+        targets in proptest::collection::vec((0usize..160, any::<[u8; 20]>()), 1..4),
+    ) {
+        let local = sha1(b"local");
+        let mut rt = RoutingTable::new(local, k);
+        // RTT oracle: a quarter of the ids are unmeasured.
+        let rtt = |id: &Id160| {
+            let h = sha1(&[id.as_bytes().as_slice(), &salt.to_le_bytes()].concat());
+            (!h.as_bytes()[0].is_multiple_of(4)).then_some(u64::from(h.as_bytes()[1]) * 1_000)
+        };
+        let mut seen: Vec<Id160> = Vec::new();
+        for (n, (kind, depth, low, pick)) in ops.into_iter().enumerate() {
+            let c = contact_at_depth(&local, depth, low, n as u32);
+            match kind {
+                0..=3 if pns_mode == 0 || (pns_mode == 2 && kind < 2) => {
+                    seen.push(c.id);
+                    rt.note_contact(c);
+                }
+                0..=3 => {
+                    seen.push(c.id);
+                    rt.note_contact_pns(c, &rtt);
+                }
+                _ if seen.is_empty() => {
+                    rt.note_failure(&c.id);
+                }
+                _ => {
+                    rt.note_failure(&seen[(pick % seen.len() as u64) as usize]);
+                }
+            }
+        }
+        // Every bucket, not `rt.iter()`: the reference must not share the
+        // walk's bound.
+        let mut all: Vec<Contact> = (0..ID160_BITS)
+            .flat_map(|i| rt.bucket(i).contacts().iter().cloned())
+            .collect();
+        let mut probes: Vec<Id160> = targets
+            .iter()
+            .map(|&(depth, low)| contact_at_depth(&local, depth, low, 0).id)
+            .collect();
+        probes.push(local);
+        probes.push(sha1(b"target"));
+        if let Some(c) = all.first() {
+            probes.push(c.id);
+        }
+        for target in probes {
+            all.sort_by_key(|c| c.id.distance(&target));
+            for n in [0, 1, k, 2 * k, all.len() + 1] {
+                let want = &all[..n.min(all.len())];
+                prop_assert_eq!(rt.closest(&target, n).as_slice(), want, "n = {}", n);
+            }
+            let kth_rule = all.len() < k || all[k - 1].id.distance(&target) >= local.distance(&target);
+            prop_assert_eq!(rt.count_closer_than_local(&target) < k, kth_rule);
+        }
     }
 
     /// The iterative lookup always terminates and returns ≤ k contacts in
@@ -504,5 +630,34 @@ proptest! {
             .map(|e| e.encode_to_bytes().len())
             .sum();
         prop_assert!(size <= budget, "encoded {} > budget {}", size, budget);
+    }
+    /// `read_filtered` equals the full-sort reference in entries, tie
+    /// order, `truncated` and `version`, with weights drawn from `1..4` so
+    /// that name tie-breaks are common and budgets that cut inside the
+    /// top `n`.
+    #[test]
+    fn filtered_reads_match_full_sort(
+        appends in proptest::collection::vec(("[a-f]{1,3}", 1u64..4), 1..80),
+        top_pick in any::<u32>(),
+        budget_pick in any::<u64>(),
+    ) {
+        let mut s = Storage::new();
+        let key = sha1(b"k");
+        let writer = sha1(b"w");
+        let mut model: BTreeMap<String, u64> = BTreeMap::new();
+        for (i, (name, w)) in appends.iter().enumerate() {
+            s.append(key, name, *w, VersionStamp::new(i as u64 + 1, writer));
+            *model.entry(name.clone()).or_default() += w;
+        }
+        let top_n = top_pick % (model.len() as u32 + 2);
+        let (top, _) = reference_read(&model, top_n, usize::MAX);
+        let top_bytes: usize = top.iter().map(|e| e.encode_to_bytes().len()).sum();
+        let budget = (budget_pick % (top_bytes as u64 + 3)) as usize;
+        let (want, truncated) = reference_read(&model, top_n, budget);
+        let read = s.read_filtered(&key, top_n, budget).unwrap();
+        prop_assert_eq!(read.entries, want);
+        prop_assert_eq!(read.truncated, truncated);
+        prop_assert_eq!(read.version, VersionStamp::new(appends.len() as u64, writer));
+        prop_assert!(read.blob.is_none());
     }
 }

@@ -316,7 +316,6 @@ fn kad_config(cfg: &ChurnConfig, counters: NetCounters) -> KadConfig {
         alpha: 3,
         rpc_timeout_us: 300_000,
         reply_budget: 60_000,
-        ping_before_evict: true,
         maintenance: cfg.repair.clone(),
         cache: cfg.cache.clone(),
         freshness: cfg.freshness.clone(),
